@@ -74,8 +74,9 @@ void write_passes(obs::JsonWriter& w,
 /// The run artifact: rmswap.run_artifact/v2 with a top-level "scheduler"
 /// section (admission/reclamation accounting plus one record per job) and
 /// one run section per job. Job runs carry "job"/"tenant" markers and no
-/// profile — the world's clock is shared, so per-job attribution does not
-/// exist (tools/check_artifact.py accepts the marked shape).
+/// profile — this world runs no profiler yet; a per-lease profile over the
+/// job's slots is future work (tools/check_artifact.py accepts the marked
+/// shape).
 std::string scheduler_artifact_json(const sched::JobScheduler& scheduler,
                                     const std::vector<SpecDoc>& docs,
                                     const std::string& arrival_trace,

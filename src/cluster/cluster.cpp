@@ -81,15 +81,6 @@ Tag Node::alloc_reply_tag() {
   return tag;
 }
 
-sim::Task<net::Message> Node::request(net::Message msg) {
-  const Tag reply_tag = alloc_reply_tag();
-  msg.reply_tag = reply_tag;
-  send(std::move(msg));
-  net::Message response = co_await mailbox_.recv(reply_tag);
-  mailbox_.retire_reply(reply_tag);
-  co_return response;
-}
-
 sim::Task<RpcResult> Node::request_with_deadline(net::Message msg,
                                                  Time deadline,
                                                  int max_retries) {

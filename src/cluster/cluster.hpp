@@ -115,13 +115,11 @@ class Node {
   }
 
   /// Round-trip request: sends to `dst` carrying a unique reply tag and
-  /// waits for the reply. The callee must answer with `reply(request, ...)`.
-  sim::Task<net::Message> request(net::Message msg);
-
-  /// Round-trip request with a per-attempt deadline, bounded retry, and
-  /// exponential backoff (the deadline doubles each retry). The reply tag is
-  /// stable across attempts, so a slow reply to an earlier attempt still
-  /// completes the call; retransmitted requests are therefore duplicates the
+  /// waits for the reply (the callee answers with `reply(request, ...)`),
+  /// with a per-attempt deadline, bounded retry, and exponential backoff
+  /// (the deadline doubles each retry). The reply tag is stable across
+  /// attempts, so a slow reply to an earlier attempt still completes the
+  /// call; retransmitted requests are therefore duplicates the
   /// callee must tolerate. Returns an empty `reply` only after every attempt
   /// (`1 + max_retries` sends) timed out — at which point the callee is
   /// treated as crashed by the failover layer.
@@ -142,7 +140,8 @@ class Node {
     crash_hooks_.push_back(std::move(fn));
   }
 
-  /// Answer a request received via `request()`.
+  /// Answer a request sent via `request_with_deadline()` (directly or
+  /// through transport::Transport::call).
   template <typename T>
   void reply(const net::Message& req, std::int64_t bytes, T body) {
     RMS_CHECK_MSG(req.reply_tag >= 0, "reply() to a one-way message");

@@ -12,9 +12,9 @@
 // virtual clock by suspending on `timeout`, it charges no compute — and a
 // null `MetricsSampler*` disables the whole layer.
 //
-// Lifetime rule: gauges capture references into runner/store state. Callers
+// Lifetime rule: gauges capture references into world/store state. Callers
 // MUST `clear_gauges()` (or begin a new run) before that state dies;
-// `hpa::Runner::run` does this before returning.
+// `sched::World` does this when it is destroyed.
 #pragma once
 
 #include <cstdint>

@@ -9,10 +9,10 @@
 // last barrier releases (memory servers and monitors run forever by
 // design).
 //
-// The runner does NOT own world construction — clusters, stores, brokers,
-// servers, and fault plans are workload-specific and stay with the
-// workload's run_*() entry point. The caller spawns its daemons, calls
-// start(), then sim.run().
+// The runner does NOT own world construction — clusters, brokers, servers,
+// and fault plans belong to sched::World, stores to the workload. The
+// caller (sched::PhasedJob::launch) starts the runner inside a world whose
+// daemons already run.
 #pragma once
 
 #include <cstddef>
@@ -52,10 +52,10 @@ struct RunnerConfig {
   Time poll_interval = msec(100);
   /// Optional event sink for pass/phase spans and barrier instants.
   obs::TraceRecorder* trace = nullptr;
-  /// Completion hook. Unset (the single-job default): the coordinator
-  /// halts the simulation once the final barrier releases. Set (scheduled
-  /// jobs sharing one simulation): the coordinator calls it instead — the
-  /// world must keep running for the other tenants.
+  /// Completion hook, called by the coordinator once the final barrier
+  /// releases (a scheduled job hands completion to the scheduler — the
+  /// world keeps running for the other tenants). Unset: the coordinator
+  /// halts the simulation itself.
   std::function<void()> on_finished;
 };
 

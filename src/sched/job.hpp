@@ -1,15 +1,18 @@
 // rms::sched job model: the contract between the multi-tenant scheduler and
 // the workloads it runs.
 //
-// A scheduled job is a workload from the runtime catalog (hpa, hash_join,
+// A job is a workload from the runtime catalog (hpa, hash_join,
 // hash_aggregate) executing on a set of application-node slots it receives
-// at admission, inside a simulation and cluster it shares with every other
-// running job. The world (cluster, memory servers, availability monitors,
-// per-slot brokers and clients) belongs to sched::World and outlives every
-// job; a JobRuntime owns only the job-local state — database partitions,
-// hash-line stores, the PhasedRunner — and registers its stores in the
-// world's SlotTable so world daemons (shortage-triggered migration) can
-// reach whatever store currently lives on a slot.
+// at launch, inside a simulation and cluster built by sched::World — shared
+// with every other running job under the scheduler, or private to the job
+// on the single-job entry every run_*() wraps. The world (cluster, memory
+// servers, availability monitors, per-slot brokers and clients) outlives
+// the job; a JobRuntime owns only the job-local state — database
+// partitions, hash-line stores, the PhasedRunner — and registers its stores
+// in the world's SlotTable so world daemons (shortage-triggered migration,
+// failure verdicts, gauges) can reach whatever store currently lives on a
+// slot. sched::PhasedJob is the shared implementation every workload
+// derives from.
 //
 // The scheduler knows nothing about concrete workloads: each workload
 // module exposes a make_*_job factory returning a JobRuntime, and the bench
@@ -40,9 +43,6 @@ class MemoryBroker;
 }
 namespace rms::sim {
 class Simulation;
-}
-namespace rms::obs {
-class TraceRecorder;
 }
 
 namespace rms::sched {
@@ -81,11 +81,8 @@ struct JobEnv {
   /// World-owned placement brokers, one per slot, same order. The
   /// scheduler has already attached the job's tenant ledger.
   std::vector<placement::MemoryBroker*> brokers;
-  /// The shared donor pool (memory-available nodes).
-  std::vector<net::NodeId> memory_nodes;
+  /// The world's slot -> store bindings (see SlotTable).
   SlotTable* slots = nullptr;
-  /// Shared event sink (null: tracing off). Spans land on slot-node tracks.
-  obs::TraceRecorder* trace = nullptr;
 };
 
 /// What the scheduler records about a finished (or torn down) job.
@@ -121,9 +118,9 @@ class JobRuntime {
   /// The runtime catalog name ("hpa", "hash_aggregate", "hash_join").
   virtual const char* workload_name() const = 0;
 
-  /// Create the job-local world (partitions, stores) and spawn the phased
-  /// runner's processes into env.sim. Called once, at admission; must not
-  /// advance virtual time. `on_done` fires (synchronously, from the
+  /// Create the job-local state (partitions, stores) and spawn the phased
+  /// runner's processes into env.sim. Called once, at admission (or at t=0
+  /// on the single-job entry); must not advance virtual time. `on_done` fires (synchronously, from the
   /// runner's coordinator) when the job's final barrier releases.
   virtual void launch(const JobEnv& env, std::function<void()> on_done) = 0;
 

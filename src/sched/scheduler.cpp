@@ -109,17 +109,9 @@ void JobScheduler::launch(JobRecord& job, Time now) {
   job.ledger.tenant = job.spec.tenant;
   job.ledger.quota_bytes = job.spec.quota_bytes;
 
-  JobEnv env;
-  env.sim = &world_.sim();
-  env.cluster = &world_.cluster();
-  env.memory_nodes = world_.memory_ids();
-  env.slots = &world_.slots();
-  env.trace = cfg_.trace;
-  for (std::size_t s : job.slot_indices) {
-    env.app_nodes.push_back(world_.app_node(s));
-    placement::MemoryBroker& broker = world_.broker_at(s);
-    broker.set_tenant_ledger(&job.ledger);
-    env.brokers.push_back(&broker);
+  const JobEnv env = world_.job_env(job.slot_indices);
+  for (placement::MemoryBroker* broker : env.brokers) {
+    broker->set_tenant_ledger(&job.ledger);
   }
 
   job.runtime = job.spec.make();

@@ -96,12 +96,14 @@ struct HashAggregateResult {
   StatsRegistry stats;
 };
 
+/// The group-by as the only job of a private sched::World (single-job
+/// layout: application nodes 0..app_nodes-1, then the memory nodes).
 HashAggregateResult run_hash_aggregate(const HashAggregateConfig& config);
 
-/// Scheduled-job mode: the same workload parameterized by `config`, run
-/// inside a shared sched::World on scheduler-leased slots. config.metrics
-/// and config.profiler must be null (the shared world cannot attribute
-/// them per job); config.trace may point at the world's shared recorder.
+/// The same workload as a scheduled job on scheduler-leased slots of a
+/// shared sched::World. config.metrics and config.profiler must be null
+/// (the shared world cannot attribute them per job); config.trace may point
+/// at the world's shared recorder.
 sched::JobRuntimePtr make_hash_aggregate_job(HashAggregateConfig config);
 
 }  // namespace rms::workloads

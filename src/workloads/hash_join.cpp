@@ -1,17 +1,16 @@
 #include "workloads/hash_join.hpp"
 
 #include <memory>
+#include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "cluster/cluster.hpp"
 #include "common/rng.hpp"
-#include "core/availability.hpp"
 #include "core/hash_line_store.hpp"
-#include "core/memory_server.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/cpu_charger.hpp"
-#include "runtime/runner.hpp"
-#include "sim/simulation.hpp"
+#include "sched/phased_job.hpp"
+#include "sched/world.hpp"
 
 namespace rms::workloads {
 namespace {
@@ -48,23 +47,28 @@ mining::Itemset make_entry(mining::Item key, std::uint32_t row_id) {
   return s;
 }
 
-class HashJoinWorkload final : public runtime::Workload {
+class HashJoinWorkload final : public sched::PhasedJob {
  public:
-  explicit HashJoinWorkload(const HashJoinConfig& cfg) : cfg_(cfg) {
-    RMS_CHECK(cfg_.app_nodes >= 1);
+  explicit HashJoinWorkload(HashJoinConfig cfg)
+      : PhasedJob(runner_config(cfg)), cfg_(std::move(cfg)) {
     RMS_CHECK(cfg_.lines_per_node >= 1);
     RMS_CHECK_MSG(cfg_.memory_limit_bytes < 0 ||
                       cfg_.policy != core::SwapPolicy::kNoLimit,
                   "a memory limit needs a swap policy");
   }
 
-  HashJoinResult run();
+  const char* workload_name() const override { return "hash_join"; }
 
-  // ---- sched job mode (shared world; see sched/job.hpp) ----
-  void launch(const sched::JobEnv& env, std::function<void()> on_done);
-  sim::Task<std::int64_t> reclaim(std::int64_t target_bytes);
-  std::int64_t donated_bytes() const;
-  sched::JobReport harvest();
+  /// The standalone result of a finished single-job run.
+  HashJoinResult result(sched::SingleJobRun run) {
+    result_.output = output_;
+    result_.total_time = run.report.total_time;
+    result_.passes = std::move(run.report.passes);
+    result_.phase_names = std::move(run.report.phase_names);
+    result_.pagefaults = run.report.pagefaults;
+    result_.stats = std::move(run.stats);
+    return std::move(result_);
+  }
 
   // ---- runtime::Workload ----
   void register_phases(runtime::PhaseRegistry& phases) override {
@@ -86,16 +90,30 @@ class HashJoinWorkload final : public runtime::Workload {
     }
     (void)pass;
   }
-  void check_invariants(std::size_t idx) override {
-    if (stores_[idx]) stores_[idx]->check_invariants();
-  }
 
  private:
-  // Scheduled jobs execute on world-assigned slot nodes (ext_app_ids_);
-  // the single-run world uses the identity layout.
-  net::NodeId app_id(std::size_t idx) const {
-    return ext_app_ids_.empty() ? static_cast<net::NodeId>(idx)
-                                : ext_app_ids_[idx];
+  static runtime::RunnerConfig runner_config(const HashJoinConfig& cfg) {
+    RMS_CHECK(cfg.app_nodes >= 1);
+    // One pass of build + probe.
+    runtime::RunnerConfig rcfg;
+    rcfg.participants = cfg.app_nodes;
+    rcfg.first_pass = 1;
+    rcfg.max_pass = 1;
+    rcfg.validate_invariants = cfg.validate_invariants;
+    rcfg.trace = cfg.trace;
+    return rcfg;
+  }
+
+  // ---- sched::PhasedJob ----
+  /// Stores (they precede the runner and live until teardown), inputs,
+  /// their per-node partition, and the scalar reference.
+  void prepare() override;
+  bool check_exactness() override {
+    result_.output = output_;
+    return result_.output == result_.expected;
+  }
+  std::string summary() const override {
+    return "output=" + std::to_string(result_.output);
   }
 
   // Key -> (owner node, local line).
@@ -107,7 +125,7 @@ class HashJoinWorkload final : public runtime::Workload {
   }
 
   sim::Task<> build(std::size_t idx) {
-    cluster::Node& node = cluster_->node(app_id(idx));
+    cluster::Node& node = slot_node(idx);
     core::HashLineStore& store = *stores_[idx];
     // Per-row CPU is charged in chunks on the owning node with the same
     // CpuCharger the miner's scan loops use (tuple parse on build, hash
@@ -122,7 +140,7 @@ class HashJoinWorkload final : public runtime::Workload {
   }
 
   sim::Task<> probe(std::size_t idx) {
-    cluster::Node& node = cluster_->node(app_id(idx));
+    cluster::Node& node = slot_node(idx);
     core::HashLineStore& store = *stores_[idx];
     CpuCharger lookup(node, node.costs().per_probe);
     for (const auto& [line, key, row_id] : probe_by_node_[idx]) {
@@ -139,35 +157,26 @@ class HashJoinWorkload final : public runtime::Workload {
     std::uint32_t row_id = 0;
   };
 
-  /// Input generation, partitioning, and the scalar reference — shared by
-  /// both entry modes.
-  void prepare_inputs();
-  /// One store per application node against that node's broker (both
-  /// modes; stores precede the runner and live until harvest/teardown).
-  void create_stores();
-
-  const HashJoinConfig& cfg_;
-  // Single-run mode owns its simulation and world; a scheduled job borrows
-  // the shared ones and the owning members stay empty.
-  sim::Simulation own_sim_;
-  sim::Simulation* sim_ = &own_sim_;
-  std::unique_ptr<cluster::Cluster> own_cluster_;
-  cluster::Cluster* cluster_ = nullptr;
-  std::vector<net::NodeId> ext_app_ids_;  // world slot ids (job mode)
-  sched::SlotTable* slots_ = nullptr;
-  std::unique_ptr<runtime::PhasedRunner> runner_;  // job mode only
-  std::vector<std::unique_ptr<core::MemoryServer>> servers_;
-  std::unique_ptr<placement::MemoryBroker> own_broker_;
-  std::vector<placement::MemoryBroker*> brokers_;  // one per app node
-  std::vector<std::unique_ptr<core::HashLineStore>> stores_;
-
+  const HashJoinConfig cfg_;
   std::vector<std::vector<PlacedRow>> build_by_node_;
   std::vector<std::vector<PlacedRow>> probe_by_node_;
   std::uint64_t output_ = 0;
   HashJoinResult result_;
 };
 
-void HashJoinWorkload::prepare_inputs() {
+void HashJoinWorkload::prepare() {
+  for (std::size_t n = 0; n < cfg_.app_nodes; ++n) {
+    core::HashLineStore::Config scfg;
+    scfg.num_lines = cfg_.lines_per_node;
+    scfg.memory_limit_bytes = cfg_.memory_limit_bytes;
+    scfg.policy = cfg_.memory_limit_bytes < 0 ? core::SwapPolicy::kNoLimit
+                                              : cfg_.policy;
+    scfg.tiered_remote_budget_bytes = cfg_.tiered_remote_budget_bytes;
+    scfg.trace = cfg_.trace;
+    stores_[n] =
+        std::make_unique<core::HashLineStore>(slot_node(n), scfg, broker(n));
+  }
+
   const std::vector<Row> build_rows =
       make_rows(cfg_.build_rows, cfg_.keys, cfg_.build_seed);
   const std::vector<Row> probe_rows =
@@ -192,223 +201,26 @@ void HashJoinWorkload::prepare_inputs() {
   }
 }
 
-void HashJoinWorkload::create_stores() {
-  stores_.resize(cfg_.app_nodes);
-  for (std::size_t n = 0; n < cfg_.app_nodes; ++n) {
-    core::HashLineStore::Config scfg;
-    scfg.num_lines = cfg_.lines_per_node;
-    scfg.memory_limit_bytes = cfg_.memory_limit_bytes;
-    scfg.policy = cfg_.memory_limit_bytes < 0 ? core::SwapPolicy::kNoLimit
-                                              : cfg_.policy;
-    scfg.tiered_remote_budget_bytes = cfg_.tiered_remote_budget_bytes;
-    scfg.trace = cfg_.trace;
-    stores_[n] = std::make_unique<core::HashLineStore>(
-        cluster_->node(app_id(n)), scfg, brokers_[n]);
-  }
-}
-
-HashJoinResult HashJoinWorkload::run() {
-  // World construction: application nodes first, then memory-available
-  // nodes, one shared broker pre-seeded with their availability (this
-  // workload exercises the swap path, not the monitor protocol).
-  cluster::ClusterConfig ccfg;
-  ccfg.num_nodes = cfg_.app_nodes + cfg_.memory_nodes;
-  own_cluster_ = std::make_unique<cluster::Cluster>(*sim_, ccfg);
-  cluster_ = own_cluster_.get();
-  if (cfg_.profiler != nullptr) {
-    for (std::size_t i = 0; i < cluster_->size(); ++i) {
-      cluster_->node(static_cast<net::NodeId>(i))
-          .set_profile_hook(cfg_.profiler);
-    }
-  }
-  std::vector<net::NodeId> mem_ids;
-  for (std::size_t m = 0; m < cfg_.memory_nodes; ++m) {
-    const auto id = static_cast<net::NodeId>(cfg_.app_nodes + m);
-    mem_ids.push_back(id);
-    core::MemoryServer::Config mscfg;
-    mscfg.trace = cfg_.trace;
-    servers_.push_back(
-        std::make_unique<core::MemoryServer>(cluster_->node(id), mscfg));
-    sim_->spawn(servers_.back()->serve());
-  }
-  own_broker_ = std::make_unique<placement::MemoryBroker>(mem_ids);
-  for (net::NodeId id : mem_ids) {
-    own_broker_->update(core::AvailabilityInfo{id, 32 << 20, 1}, 0);
-  }
-  brokers_.assign(cfg_.app_nodes, own_broker_.get());
-  create_stores();
-
-  if (cfg_.metrics != nullptr) {
-    for (std::size_t n = 0; n < cfg_.app_nodes; ++n) {
-      core::HashLineStore& s = *stores_[n];
-      const auto node = static_cast<std::int32_t>(n);
-      cfg_.metrics->add_gauge("resident_bytes", node, [&s] {
-        return static_cast<double>(s.resident_bytes());
-      });
-      cfg_.metrics->add_gauge("lines_remote", node, [&s] {
-        return static_cast<double>(s.remote_lines());
-      });
-      cfg_.metrics->add_gauge("lines_disk", node, [&s] {
-        return static_cast<double>(s.disk_lines());
-      });
-    }
-    sim_->spawn(obs::sample_process(*sim_, *cfg_.metrics));
-  }
-
-  // Inputs, their per-node partition, and the scalar reference.
-  prepare_inputs();
-
-  // One pass of build + probe under the generic phased runner.
-  runtime::RunnerConfig rcfg;
-  rcfg.participants = cfg_.app_nodes;
-  rcfg.first_pass = 1;
-  rcfg.max_pass = 1;
-  rcfg.validate_invariants = cfg_.validate_invariants;
-  rcfg.trace = cfg_.trace;
-  runtime::PhasedRunner runner(*sim_, *this, rcfg);
-  runner.start();
-  sim_->run();
-  RMS_CHECK_MSG(runner.finished(), "simulation drained before the join did");
-
-  result_.output = output_;
-  result_.total_time = runner.total_time();
-  result_.passes = runner.passes();
-  result_.phase_names = runner.phases().names();
-  for (auto& s : stores_) result_.pagefaults += s->pagefaults();
-  for (std::size_t i = 0; i < cluster_->size(); ++i) {
-    result_.stats.merge(cluster_->node(static_cast<net::NodeId>(i)).stats());
-  }
-  result_.stats.merge(cluster_->network().stats());
-
-  // Destroy still-suspended daemon frames (servers) while the cluster
-  // objects their locals reference are alive; the gauges registered above
-  // capture stores that die with us — drop them (the series stays).
-  sim_->shutdown();
-  if (cfg_.metrics != nullptr) cfg_.metrics->clear_gauges();
-  return result_;
-}
-
-// ---------------------------------------------------------------------------
-// Scheduled-job mode: run inside a shared sched::World.
-// ---------------------------------------------------------------------------
-
-void HashJoinWorkload::launch(const sched::JobEnv& env,
-                              std::function<void()> on_done) {
-  RMS_CHECK_MSG(cfg_.metrics == nullptr && cfg_.profiler == nullptr,
-                "scheduled jobs do not own observability sinks");
-  RMS_CHECK(env.sim != nullptr && env.cluster != nullptr);
-  RMS_CHECK_MSG(env.app_nodes.size() == cfg_.app_nodes,
-                "slot lease must match the job's participant count");
-  RMS_CHECK(env.brokers.size() == cfg_.app_nodes);
-  sim_ = env.sim;
-  cluster_ = env.cluster;
-  ext_app_ids_ = env.app_nodes;
-  brokers_ = env.brokers;
-  slots_ = env.slots;
-
-  create_stores();
-  prepare_inputs();
-  if (slots_ != nullptr) {
-    for (std::size_t i = 0; i < cfg_.app_nodes; ++i) {
-      slots_->bind(app_id(i), [this, i]() -> core::HashLineStore* {
-        return stores_[i].get();
-      });
-    }
-  }
-
-  runtime::RunnerConfig rcfg;
-  rcfg.participants = cfg_.app_nodes;
-  rcfg.first_pass = 1;
-  rcfg.max_pass = 1;
-  rcfg.validate_invariants = cfg_.validate_invariants;
-  rcfg.trace = cfg_.trace;
-  rcfg.tracks.reserve(cfg_.app_nodes);
-  for (net::NodeId id : ext_app_ids_) {
-    rcfg.tracks.push_back(static_cast<std::int32_t>(id));
-  }
-  rcfg.on_finished = std::move(on_done);
-  runner_ = std::make_unique<runtime::PhasedRunner>(*sim_, *this, rcfg);
-  runner_->start();
-}
-
-sim::Task<std::int64_t> HashJoinWorkload::reclaim(std::int64_t target_bytes) {
-  std::int64_t freed = 0;
-  for (auto& store : stores_) {
-    if (freed >= target_bytes) break;
-    if (store) freed += co_await store->reclaim(target_bytes - freed);
-  }
-  co_return freed;
-}
-
-std::int64_t HashJoinWorkload::donated_bytes() const {
-  std::int64_t sum = 0;
-  for (const auto& store : stores_) {
-    if (store) sum += store->remote_held_bytes();
-  }
-  return sum;
-}
-
-sched::JobReport HashJoinWorkload::harvest() {
-  sched::JobReport rep;
-  rep.completed = runner_ != nullptr && runner_->finished();
-  if (runner_ != nullptr) {
-    rep.total_time = runner_->total_time();
-    rep.passes = runner_->passes();
-    rep.phase_names = runner_->phases().names();
-  }
-  for (const auto& store : stores_) {
-    if (!store) continue;
-    rep.pagefaults += store->pagefaults();
-    rep.swap_outs += store->swap_outs();
-    rep.updates_sent += store->updates_sent();
-    rep.degraded_evictions += store->failover().degraded_evictions;
-  }
-  if (rep.completed) {
-    result_.output = output_;
-    rep.exact = result_.output == result_.expected;
-    rep.summary = "output=" + std::to_string(result_.output);
-  }
-  if (slots_ != nullptr) {
-    for (std::size_t i = 0; i < cfg_.app_nodes; ++i) {
-      slots_->unbind(app_id(i));
-    }
-  }
-  return rep;
-}
-
-/// Owns the config copy and the workload it parameterizes.
-class HashJoinJob final : public sched::JobRuntime {
- public:
-  explicit HashJoinJob(HashJoinConfig cfg)
-      : cfg_(std::move(cfg)), workload_(cfg_) {}
-
-  const char* workload_name() const override { return "hash_join"; }
-  void launch(const sched::JobEnv& env,
-              std::function<void()> on_done) override {
-    workload_.launch(env, std::move(on_done));
-  }
-  sim::Task<std::int64_t> reclaim(std::int64_t target_bytes) override {
-    return workload_.reclaim(target_bytes);
-  }
-  std::int64_t donated_bytes() const override {
-    return workload_.donated_bytes();
-  }
-  sched::JobReport harvest() override { return workload_.harvest(); }
-
- private:
-  HashJoinConfig cfg_;
-  HashJoinWorkload workload_;
-};
-
 }  // namespace
 
 HashJoinResult run_hash_join(const HashJoinConfig& config) {
-  HashJoinWorkload workload(config);
-  return workload.run();
+  sched::WorldConfig world;
+  world.app_nodes = config.app_nodes;
+  world.memory_nodes = config.memory_nodes;
+  world.trace = config.trace;
+  sched::SingleJobOptions opts;
+  opts.metrics = config.metrics;
+  opts.profiler = config.profiler;
+
+  sched::SingleJobWorld solo(std::move(world), std::move(opts));
+  HashJoinWorkload job(config);
+  return job.result(solo.run(job));
 }
 
 sched::JobRuntimePtr make_hash_join_job(HashJoinConfig config) {
-  return std::make_unique<HashJoinJob>(std::move(config));
+  RMS_CHECK_MSG(config.metrics == nullptr && config.profiler == nullptr,
+                "scheduled jobs do not own observability sinks");
+  return std::make_unique<HashJoinWorkload>(std::move(config));
 }
 
 }  // namespace rms::workloads

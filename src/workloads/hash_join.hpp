@@ -7,7 +7,7 @@
 // exactly like candidate itemsets, and probe-side lookups fault them back
 // (`count_matches`, a read query one-way updates cannot answer).
 //
-// The workload is a runtime::Workload with two phases ("build", "probe")
+// The workload is a sched::PhasedJob with two phases ("build", "probe")
 // driven by runtime::PhasedRunner: each application node builds and probes
 // its own key partition in SPMD lockstep, so the phase skeleton (barriers,
 // spans, invariant hooks) is shared with HPA instead of hand-rolled.
@@ -76,13 +76,13 @@ struct HashJoinResult {
   StatsRegistry stats;
 };
 
+/// The join as the only job of a private sched::World (single-job layout:
+/// application nodes 0..app_nodes-1, then the memory-available nodes).
 HashJoinResult run_hash_join(const HashJoinConfig& config);
 
-/// Scheduled-job mode: the same join parameterized by `config`, run inside
-/// a shared sched::World on scheduler-leased slots. config.metrics and
-/// config.profiler must be null; config.memory_nodes is ignored — the
-/// world supplies the donor pool (and its brokers, fed by live
-/// availability broadcasts rather than this module's pre-seeded view).
+/// The same join as a scheduled job on scheduler-leased slots of a shared
+/// sched::World. config.metrics and config.profiler must be null;
+/// config.memory_nodes is ignored — the world supplies the donor pool.
 sched::JobRuntimePtr make_hash_join_job(HashJoinConfig config);
 
 }  // namespace rms::workloads

@@ -19,6 +19,14 @@ ClusterConfig small_config(std::size_t n = 4) {
   return c;
 }
 
+// One round trip under a deadline far beyond every test's horizon, so it
+// behaves like an unbounded wait; a missing reply fails the test.
+sim::Task<net::Message> call(Node& n, net::Message msg) {
+  RpcResult r = co_await n.request_with_deadline(std::move(msg), sec(30));
+  RMS_CHECK_MSG(r.reply.has_value(), "request timed out");
+  co_return std::move(*r.reply);
+}
+
 TEST(Cluster, BuildsNodesWithIds) {
   sim::Simulation sim;
   Cluster cl(sim, small_config(5));
@@ -110,8 +118,8 @@ TEST(Cluster, RequestReplyRoundTrip) {
   auto client = [](sim::Simulation& s, Node& n, int& out, Time& t)
       -> sim::Process {
     const Time start = s.now();
-    net::Message rep = co_await n.request(
-        net::Message::make(n.id(), 1, 9, 32, Ping{21}));
+    net::Message rep = co_await call(
+        n, net::Message::make(n.id(), 1, 9, 32, Ping{21}));
     out = rep.as<Ping>().value;
     t = s.now() - start;
   };
@@ -135,7 +143,7 @@ TEST(Cluster, ConcurrentRequestsGetDistinctReplies) {
   std::vector<int> answers(3, 0);
   auto client = [](Node& n, int v, int& out) -> sim::Process {
     net::Message rep =
-        co_await n.request(net::Message::make(n.id(), 3, 9, 32, Ping{v}));
+        co_await call(n, net::Message::make(n.id(), 3, 9, 32, Ping{v}));
     out = rep.as<Ping>().value;
   };
   sim.spawn(server(cl.node(3)));

@@ -35,6 +35,15 @@ MemRequest swap_out(net::NodeId owner, LineId id, mining::HashLine entries) {
   return r;
 }
 
+// One round trip under a deadline far beyond every test's horizon, so it
+// behaves like an unbounded wait; a missing reply fails the test.
+sim::Task<net::Message> call(cluster::Node& n, net::Message msg) {
+  cluster::RpcResult r =
+      co_await n.request_with_deadline(std::move(msg), sec(30));
+  RMS_CHECK_MSG(r.reply.has_value(), "request timed out");
+  co_return std::move(*r.reply);
+}
+
 struct World {
   sim::Simulation sim;
   std::unique_ptr<cluster::Cluster> cl;
@@ -68,8 +77,8 @@ TEST(MemoryServer, SwapInReturnsContentAndFrees) {
     in.kind = MemRequest::Kind::kSwapIn;
     in.owner = 0;
     in.line_id = 7;
-    net::Message rep = co_await n.request(
-        net::Message::make(n.id(), 1, kMemService, 32, std::move(in)));
+    net::Message rep = co_await call(
+        n, net::Message::make(n.id(), 1, kMemService, 32, std::move(in)));
     const auto& reply = rep.as<MemReply>();
     EXPECT_EQ(reply.lines.size(), 1u);
     if (reply.lines.size() == 1 && reply.lines[0].entries.size() == 1) {
@@ -98,8 +107,8 @@ TEST(MemoryServer, SwapInTakesAboutTwoPointThreeMs) {
     in.kind = MemRequest::Kind::kSwapIn;
     in.owner = 0;
     in.line_id = 7;
-    (void)co_await n.request(
-        net::Message::make(n.id(), 1, kMemService, 32, std::move(in)));
+    (void)co_await call(
+        n, net::Message::make(n.id(), 1, kMemService, 32, std::move(in)));
     latency = s.now() - start;
   };
   w.sim.spawn(client(w.sim, w.cl->node(0)));
@@ -132,8 +141,8 @@ TEST(MemoryServer, UpdateBatchIncrementsMatchingItemsets) {
     MemRequest f;
     f.kind = MemRequest::Kind::kFetch;
     f.owner = 0;
-    net::Message rep = co_await n.request(
-        net::Message::make(n.id(), 1, kMemService, 32, std::move(f)));
+    net::Message rep = co_await call(
+        n, net::Message::make(n.id(), 1, kMemService, 32, std::move(f)));
     for (const LinePayload& p : rep.as<MemReply>().lines) {
       for (const auto& e : p.entries) {
         if (e.items == (mining::Itemset{1, 2})) count12 = e.count;
@@ -158,8 +167,8 @@ TEST(MemoryServer, FetchIsPerOwner) {
     MemRequest f;
     f.kind = MemRequest::Kind::kFetch;
     f.owner = 0;
-    net::Message rep = co_await n.request(
-        net::Message::make(n.id(), 1, kMemService, 32, std::move(f)));
+    net::Message rep = co_await call(
+        n, net::Message::make(n.id(), 1, kMemService, 32, std::move(f)));
     fetched = rep.as<MemReply>().lines.size();
   };
   w.sim.spawn(client(w.cl->node(0)));
@@ -184,8 +193,8 @@ TEST(MemoryServer, RequestsAreServedSequentially) {
     in.kind = MemRequest::Kind::kSwapIn;
     in.owner = 0;
     in.line_id = id;
-    (void)co_await n.request(
-        net::Message::make(n.id(), 1, kMemService, 32, std::move(in)));
+    (void)co_await call(
+        n, net::Message::make(n.id(), 1, kMemService, 32, std::move(in)));
     finish.push_back(s.now());
   };
   const Time t0 = w.sim.now();
@@ -215,8 +224,8 @@ TEST(MemoryServer, MigrateDirectiveMovesLinesToDestination) {
     d.owner = 0;
     d.migrate_dest = 2;
     d.migrate_lines = {0, 1, 2, 3, 4, 777};  // 777 was never swapped out
-    net::Message rep = co_await n.request(
-        net::Message::make(n.id(), 1, kMemService, 64, std::move(d)));
+    net::Message rep = co_await call(
+        n, net::Message::make(n.id(), 1, kMemService, 64, std::move(d)));
     migrated = rep.as<MemReply>().migrated;
   };
   w.sim.spawn(client(w.cl->node(0)));
@@ -234,8 +243,8 @@ TEST(MemoryServer, MigrateDirectiveMovesLinesToDestination) {
     MemRequest f;
     f.kind = MemRequest::Kind::kFetch;
     f.owner = 0;
-    net::Message rep = co_await n.request(
-        net::Message::make(n.id(), 2, kMemService, 32, std::move(f)));
+    net::Message rep = co_await call(
+        n, net::Message::make(n.id(), 2, kMemService, 32, std::move(f)));
     for (const LinePayload& p : rep.as<MemReply>().lines) {
       if (p.line_id == 3) count3 = p.entries[0].count;
     }
@@ -263,8 +272,8 @@ TEST(MemoryServer, LineKeysNeverCollideAcrossOwners) {
     in.kind = MemRequest::Kind::kSwapIn;
     in.owner = owner;
     in.line_id = id;
-    net::Message rep = co_await n.request(
-        net::Message::make(n.id(), 1, kMemService, 32, std::move(in)));
+    net::Message rep = co_await call(
+        n, net::Message::make(n.id(), 1, kMemService, 32, std::move(in)));
     const auto& reply = rep.as<MemReply>();
     EXPECT_TRUE(reply.ok);
     EXPECT_EQ(reply.lines.size(), 1u);
@@ -288,8 +297,8 @@ TEST(MemoryServer, SwapInForUnknownLineRepliesNotOk) {
     in.kind = MemRequest::Kind::kSwapIn;
     in.owner = 0;
     in.line_id = 42;  // never swapped out
-    net::Message rep = co_await n.request(
-        net::Message::make(n.id(), 1, kMemService, 32, std::move(in)));
+    net::Message rep = co_await call(
+        n, net::Message::make(n.id(), 1, kMemService, 32, std::move(in)));
     const auto& reply = rep.as<MemReply>();
     EXPECT_FALSE(reply.ok);
     EXPECT_TRUE(reply.lines.empty());
@@ -319,8 +328,8 @@ TEST(MemoryServer, ReplicaIsInvisibleUntilPromoted) {
     in.kind = MemRequest::Kind::kSwapIn;
     in.owner = 0;
     in.line_id = 7;
-    net::Message r1 = co_await n.request(
-        net::Message::make(n.id(), 1, kMemService, 32, std::move(in)));
+    net::Message r1 = co_await call(
+        n, net::Message::make(n.id(), 1, kMemService, 32, std::move(in)));
     missed = !r1.as<MemReply>().ok;
 
     // Promote, then the same swap-in succeeds with the replica's content.
@@ -328,8 +337,8 @@ TEST(MemoryServer, ReplicaIsInvisibleUntilPromoted) {
     prom.kind = MemRequest::Kind::kReplicaPromote;
     prom.owner = 0;
     prom.migrate_lines = {7};
-    net::Message r2 = co_await n.request(
-        net::Message::make(n.id(), 1, kMemService, 32, std::move(prom)));
+    net::Message r2 = co_await call(
+        n, net::Message::make(n.id(), 1, kMemService, 32, std::move(prom)));
     EXPECT_TRUE(r2.as<MemReply>().ok);
     promoted = r2.as<MemReply>().migrated;
 
@@ -337,8 +346,8 @@ TEST(MemoryServer, ReplicaIsInvisibleUntilPromoted) {
     again.kind = MemRequest::Kind::kSwapIn;
     again.owner = 0;
     again.line_id = 7;
-    net::Message r3 = co_await n.request(
-        net::Message::make(n.id(), 1, kMemService, 32, std::move(again)));
+    net::Message r3 = co_await call(
+        n, net::Message::make(n.id(), 1, kMemService, 32, std::move(again)));
     const auto& r3rep = r3.as<MemReply>();
     EXPECT_TRUE(r3rep.ok);
     if (r3rep.ok && r3rep.lines.size() == 1 &&
@@ -407,8 +416,8 @@ TEST(MemoryServer, CrashWipesTheStoreAndRestartAnswersNotOk) {
     in.kind = MemRequest::Kind::kSwapIn;
     in.owner = 0;
     in.line_id = 7;
-    net::Message r = co_await n.request(
-        net::Message::make(n.id(), 1, kMemService, 32, std::move(in)));
+    net::Message r = co_await call(
+        n, net::Message::make(n.id(), 1, kMemService, 32, std::move(in)));
     EXPECT_FALSE(r.as<MemReply>().ok);
     checked = true;
   };

@@ -2,7 +2,8 @@
 // simultaneous arrivals at one virtual instant, deadline shedding,
 // priority reclamation (including a reclaim racing the victim's own
 // completion), tenant-quota degradation, full capacity release between
-// jobs, and arrival-trace determinism.
+// jobs, exactness of a depth-capped HPA job, and arrival-trace
+// determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,9 @@
 #include <memory>
 #include <vector>
 
+#include "hpa/hpa.hpp"
+#include "mining/apriori.hpp"
+#include "mining/generator.hpp"
 #include "sched/arrivals.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/world.hpp"
@@ -315,6 +319,48 @@ TEST(Scheduler, SecondJobSeesFullCapacityAfterFirstCompletes) {
   EXPECT_EQ(scheduler.stats().reclaim_events, 0);
   EXPECT_GE(second_rec.admitted, first.finished);
   EXPECT_EQ(world.pool_donated_bytes(), 0);
+}
+
+TEST(Scheduler, DepthCappedHpaJobIsExactAgainstTheSameDepth) {
+  // A max_k=2 job mines L1 and L2 only; its exactness reference must stop
+  // at the same depth, or every database with large 3-itemsets reads as a
+  // wrong answer.
+  mining::QuestParams params;
+  params.num_transactions = 2000;
+  params.num_items = 200;
+  params.avg_transaction_size = 8;
+  params.avg_pattern_size = 3;
+  params.num_patterns = 40;
+  params.seed = 3;
+  const mining::TransactionDb db = mining::QuestGenerator(params).generate();
+  hpa::HpaConfig cfg;
+  cfg.app_nodes = 2;
+  cfg.workload = params;
+  cfg.shared_db = &db;
+  cfg.min_support = 0.02;
+  cfg.hash_lines = 2048;
+  cfg.max_k = 2;
+  const mining::AprioriResult uncapped = mining::apriori(db, cfg.min_support);
+  ASSERT_GE(uncapped.large_by_k.size(), 3u);
+  ASSERT_FALSE(uncapped.large_by_k[2].empty()) << "no large 3-itemsets";
+
+  sim::Simulation sim;
+  World world(sim, small_world(2, 1));
+  JobScheduler scheduler(world, guarded());
+  JobSpec spec;
+  spec.name = "hpa-k2";
+  spec.workload = "hpa";
+  spec.slots = cfg.app_nodes;
+  spec.make = [&cfg] { return hpa::make_hpa_job(cfg); };
+  scheduler.submit(std::move(spec));
+
+  world.start();
+  sim.spawn(scheduler.run());
+  sim.run();
+
+  const JobRecord& job = scheduler.jobs()[0];
+  ASSERT_EQ(job.state, JobState::kCompleted);
+  EXPECT_TRUE(job.report.exact) << job.report.summary;
 }
 
 TEST(Arrivals, PoissonTraceIsDeterministicSortedAndSeedSensitive) {
