@@ -65,6 +65,15 @@ std::int64_t RemoteBackend::outstanding_rpcs() const {
   return xport_.in_flight();
 }
 
+std::vector<net::NodeId> RemoteBackend::sorted_holders() const {
+  std::vector<net::NodeId> holders;
+  for (const auto& [holder, ids] : lines_by_holder_) {
+    if (!ids.empty()) holders.push_back(holder);
+  }
+  std::sort(holders.begin(), holders.end());
+  return holders;
+}
+
 void RemoteBackend::hold_insert(net::NodeId holder, LineId id) {
   if (lines_by_holder_[holder].insert(id).second) {
     remote_bytes_ += store_.line(id).bytes;
@@ -92,10 +101,14 @@ sim::Task<cluster::RpcResult> RemoteBackend::rpc(net::Message msg) {
   const std::int64_t op =
       msg.is<MemRequest>() ? rpc_op(msg.as<MemRequest>().kind) : 0;
   cluster::RpcResult res = co_await xport_.call(std::move(msg), op);
+  note_attempts(res);
+  co_return res;
+}
+
+void RemoteBackend::note_attempts(const cluster::RpcResult& res) {
   failover().rpc_retries += res.attempts - 1;
   // Every attempt but a successful last one expired its deadline.
   failover().deadline_misses += res.ok() ? res.attempts - 1 : res.attempts;
-  co_return res;
 }
 
 void RemoteBackend::declare_dead(net::NodeId holder) {
@@ -137,14 +150,16 @@ void RemoteBackend::drop_backup(LineId id) {
   auto& l = store_.line(id);
   if (l.backup < 0) return;
   replicas_by_holder_[l.backup].erase(id);
-  if (!holder_suspect(l.backup)) {
-    MemRequest req;
-    req.kind = MemRequest::Kind::kReplicaDrop;
-    req.owner = node_.id();
-    req.line_id = id;
-    node_.send_to(l.backup, kMemService, 16, std::move(req));
-  }
+  if (!holder_suspect(l.backup)) send_replica_drop(l.backup, id);
   l.backup = -1;
+}
+
+void RemoteBackend::send_replica_drop(net::NodeId backup, LineId id) {
+  MemRequest req;
+  req.kind = MemRequest::Kind::kReplicaDrop;
+  req.owner = node_.id();
+  req.line_id = id;
+  node_.send_to(backup, kMemService, 16, std::move(req));
 }
 
 sim::Task<> RemoteBackend::recover_lost_line(LineId id, RecoverCause cause) {
@@ -202,14 +217,21 @@ sim::Task<> RemoteBackend::recover_lost_line(LineId id, RecoverCause cause) {
 sim::Task<bool> RemoteBackend::repair_from_disk(LineId id) {
   // The base backend's only local copy is the unmirrored-swap-out shadow
   // (simple swapping, no mirror node known at eviction time).
-  const auto it = unmirrored_shadow_.find(id);
-  if (it == unmirrored_shadow_.end()) co_return false;
+  co_return co_await restore_shadow(unmirrored_shadow_, id);
+}
+
+sim::Task<bool> RemoteBackend::restore_shadow(
+    std::unordered_map<LineId, DiskShadow>& shadows, LineId id) {
+  if (shadows.count(id) == 0) co_return false;
   auto& l = store_.line(id);
   co_await node_.swap_disk().read(
       std::max<std::int64_t>(l.bytes, store_.config().message_block_bytes),
       disk::Access::kRandom);
-  UnmirroredShadow sh = std::move(it->second);
-  unmirrored_shadow_.erase(it);
+  // Look the entry up again: a swap-out may have rehashed the map meanwhile.
+  const auto it = shadows.find(id);
+  if (it == shadows.end()) co_return false;
+  DiskShadow sh = std::move(it->second);
+  shadows.erase(it);
   if (sh.checksum != line_checksum(sh.entries)) {
     // Defensive — nothing in the simulator corrupts local disk contents.
     node_.stats().bump("store.shadow_corrupt_lines");
@@ -334,7 +356,7 @@ sim::Task<> RemoteBackend::swap_out(LineId id) {
   // corruption away from loss. Exact until fault-in — simple swapping never
   // mutates remote contents. Update mode skips this (a snapshot would go
   // stale against remotely-applied ops) and relies on re_replicate instead.
-  UnmirroredShadow sh;
+  DiskShadow sh;
   const bool shadow_this =
       store_.config().replicate_k > 0 && backup < 0 && !update_mode_;
   if (shadow_this) {
@@ -382,68 +404,59 @@ sim::Task<> RemoteBackend::fault_in(LineId id) {
   RMS_CHECK(l.where == Where::kRemote);
   ++*faults_;
   l.where = Where::kFaulting;
-  bool have_content = false;
-  while (!have_content) {
-    const net::NodeId holder = l.holder;
-    bool lost = false;
-    bool corrupt = false;
-    if (holder_suspect(holder)) {
-      lost = true;
-    } else {
-      MemRequest req;
-      req.kind = MemRequest::Kind::kSwapIn;
-      req.owner = node_.id();
-      req.line_id = id;
-      cluster::RpcResult res = co_await rpc(net::Message::make(
-          node_.id(), holder, kMemService, 32, std::move(req)));
-      if (!res.ok()) {
-        // Every deadline missed: the holder is gone (the transport callback
-        // marked it suspect as the last deadline expired). Re-home
-        // everything it held — this line is kFaulting, so the handler skips
-        // it and leaves it to us.
-        co_await on_holder_failure(holder);
-        lost = true;
-      } else {
-        const auto& rep = res.reply->as<MemReply>();
-        co_await node_.compute(node_.costs().per_message_cpu);
-        if (rep.ok) {
-          RMS_CHECK(rep.lines.size() == 1 && rep.lines[0].line_id == id);
-          if (!verify_payload(rep.lines[0], holder)) {
-            // Corrupted in storage or on the wire: never use it. Repair
-            // from the replica (or disk copy) instead.
-            corrupt = true;
-            lost = true;
-          } else {
-            l.entries = rep.lines[0].entries;
-            hold_erase(holder, id);
-            drop_backup(id);
-            unreplicated_.erase(id);
-            unmirrored_shadow_.erase(id);  // home again; snapshot is garbage
-            have_content = true;
-          }
-        } else {
-          // The holder answered but no longer has the line: it crashed and
-          // restarted in between. The node itself is fine.
-          node_.stats().bump("store.swap_in_lost");
-          lost = true;
-        }
-      }
-    }
-    if (lost) {
-      hold_erase(holder, id);
-      co_await recover_lost_line(
-          id, corrupt ? RecoverCause::kCorrupt : RecoverCause::kLost);
-      if (l.where == Where::kRemote) {
-        // Promoted to a surviving backup: retry the swap-in there.
-        l.where = Where::kFaulting;
-        continue;
-      }
-      // Orphaned (resident and empty) or repaired from the local disk
-      // copy: either way the line is resident and nothing is left to load.
-      co_return;
-    }
+  while (!co_await swap_in(id)) {
+    // Orphaned (resident and empty) or repaired from the local disk copy:
+    // either way the line is resident and nothing is left to load.
+    if (l.where != Where::kRemote) co_return;
+    // Promoted to a surviving backup: retry the swap-in there.
+    l.where = Where::kFaulting;
   }
   // Still kFaulting with contents restored; the store finishes residency.
+}
+
+sim::Task<bool> RemoteBackend::swap_in(LineId id) {
+  auto& l = store_.line(id);
+  const net::NodeId holder = l.holder;
+  RecoverCause cause = RecoverCause::kLost;
+  if (!holder_suspect(holder)) {
+    MemRequest req;
+    req.kind = MemRequest::Kind::kSwapIn;
+    req.owner = node_.id();
+    req.line_id = id;
+    cluster::RpcResult res = co_await rpc(net::Message::make(
+        node_.id(), holder, kMemService, 32, std::move(req)));
+    if (!res.ok()) {
+      // Every deadline missed: the holder is gone (the transport callback
+      // marked it suspect as the last deadline expired). Re-home everything
+      // it held — this line is pinned, so the handler skips it and leaves
+      // it to the recovery below.
+      co_await on_holder_failure(holder);
+    } else {
+      const auto& rep = res.reply->as<MemReply>();
+      co_await node_.compute(node_.costs().per_message_cpu);
+      if (!rep.ok) {
+        // The holder answered but no longer has the line: it crashed and
+        // restarted in between. The node itself is fine.
+        node_.stats().bump("store.swap_in_lost");
+      } else {
+        RMS_CHECK(rep.lines.size() == 1 && rep.lines[0].line_id == id);
+        if (verify_payload(rep.lines[0], holder)) {
+          l.entries = rep.lines[0].entries;
+          hold_erase(holder, id);
+          drop_backup(id);
+          unreplicated_.erase(id);
+          unmirrored_shadow_.erase(id);  // home again; snapshot is garbage
+          co_return true;
+        }
+        // Corrupted in storage or on the wire: never use it. Repair from
+        // the replica (or disk copy) instead.
+        cause = RecoverCause::kCorrupt;
+      }
+    }
+  }
+  hold_erase(holder, id);
+  co_await recover_lost_line(id, cause);
+  co_return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -496,16 +509,8 @@ sim::Task<> RemoteBackend::send_update_batch(net::NodeId holder) {
   if (it == update_streams_.end() || it->second.empty()) co_return;
   auto closed = it->second.take();
   if (holder_suspect(holder)) {
-    // Nobody home; delivering would be a silent drop anyway. An op is truly
-    // lost only when this target held the line's sole copy: mirror ops
-    // (primary elsewhere) survive at the primary, and primary ops with a
-    // live backup survive at the mirror — counting whole batches here would
-    // double-count them against the copies that still apply.
-    for (const UpdateOp& op : closed.batch.updates) {
-      const auto& l = store_.line(op.line_id);
-      if (l.holder == holder && l.backup < 0) ++failover().lost_update_ops;
-    }
-    node_.stats().bump("store.update_batches_dropped");
+    // Nobody home; delivering would be a silent drop anyway.
+    drop_update_batch(holder, closed.batch);
     co_return;
   }
   node_.stats().bump("store.update_batches");
@@ -530,6 +535,32 @@ sim::Task<> RemoteBackend::maybe_flush_batch(net::NodeId holder) {
   }
 }
 
+void RemoteBackend::drop_update_batch(net::NodeId target,
+                                      const MemRequest& batch) {
+  // An op is truly lost only when `target` held the line's sole copy:
+  // mirror ops (primary elsewhere) survive at the primary, and primary ops
+  // with a live backup survive at the mirror — counting whole batches here
+  // would double-count them against the copies that still apply.
+  for (const UpdateOp& op : batch.updates) {
+    const auto& l = store_.line(op.line_id);
+    if (l.holder == target && l.backup < 0) ++failover().lost_update_ops;
+  }
+  node_.stats().bump("store.update_batches_dropped");
+}
+
+sim::Task<> RemoteBackend::requeue_pending(LineId id) {
+  const auto pend = pending_updates_.find(id);
+  if (pend == pending_updates_.end()) co_return;
+  for (const mining::Itemset& s : pend->second) {
+    --*updates_sent_;  // queue_update counts it again
+    queue_update(id, s);
+  }
+  pending_updates_.erase(pend);
+  const auto& l = store_.line(id);
+  co_await maybe_flush_batch(l.holder);
+  co_await maybe_flush_batch(l.backup);
+}
+
 sim::Task<> RemoteBackend::flush_updates() {
   // Collect holders first: sending mutates the map.
   std::vector<net::NodeId> holders;
@@ -545,172 +576,103 @@ sim::Task<> RemoteBackend::flush_updates() {
 // ---------------------------------------------------------------------------
 
 sim::Task<bool> RemoteBackend::collect_fetch() {
-  std::vector<net::NodeId> holders;
-  for (const auto& [holder, ids] : lines_by_holder_) {
-    if (!ids.empty()) holders.push_back(holder);
-  }
+  const std::vector<net::NodeId> holders = sorted_holders();
   if (holders.empty()) co_return false;
-  std::sort(holders.begin(), holders.end());
-  if (xport_.window() >= 2 && holders.size() >= 2) {
-    // Overlap the per-holder fetch round-trips instead of serializing them.
-    co_await collect_fetch_pipelined(holders);
-    co_return true;
-  }
-  for (net::NodeId holder : holders) {
-    auto& held = lines_by_holder_[holder];
-    if (held.empty()) continue;
+  // Holders go in groups: each group's lines are pinned, its kFetch RPCs
+  // run through Transport::pipeline (overlapping their round-trips and
+  // server service times), and replies are absorbed in holder order. At
+  // window 1 a group is one holder, so a holder's lines are pinned only
+  // after recovery at the earlier holders may have promoted lines onto it;
+  // pinning every holder up front would leave those promoted lines to the
+  // caller's next round and change the modelled schedule. Lines recovery
+  // re-homes onto a holder outside the snapshot are likewise picked up by
+  // the caller's next collect_fetch round.
+  const std::size_t group = xport_.window() >= 2 ? holders.size() : 1;
+  for (std::size_t first = 0; first < holders.size(); first += group) {
+    const std::size_t last = std::min(first + group, holders.size());
     // Snapshot and pin: kFaulting keeps the concurrent failure handler off
     // these lines — whatever happens, this loop re-homes them. Lines a
     // concurrent migrate/reclaim parked (kMigrating) after the caller's
     // settle scan stay with that coroutine; it fires their triggers when it
     // settles them and the caller re-scans.
-    std::vector<LineId> candidates(held.begin(), held.end());
-    std::sort(candidates.begin(), candidates.end());
-    std::vector<LineId> ids;
-    for (LineId id : candidates) {
-      if (store_.line(id).where != Where::kRemote) {
-        node_.stats().bump("store.collect_skipped_inflight");
-        continue;
+    std::vector<std::pair<net::NodeId, std::vector<LineId>>> pinned;
+    for (std::size_t h = first; h < last; ++h) {
+      const auto& held = lines_by_holder_[holders[h]];
+      std::vector<LineId> candidates(held.begin(), held.end());
+      std::sort(candidates.begin(), candidates.end());
+      std::vector<LineId> ids;
+      for (LineId id : candidates) {
+        if (store_.line(id).where != Where::kRemote) {
+          node_.stats().bump("store.collect_skipped_inflight");
+          continue;
+        }
+        store_.line(id).where = Where::kFaulting;
+        ids.push_back(id);
       }
-      store_.line(id).where = Where::kFaulting;
-      ids.push_back(id);
+      for (LineId id : ids) hold_erase(holders[h], id);
+      if (!ids.empty()) pinned.emplace_back(holders[h], std::move(ids));
     }
-    if (ids.empty()) continue;
-    for (LineId id : ids) hold_erase(holder, id);
 
-    std::unordered_set<LineId> got;
-    std::unordered_set<LineId> corrupt_ids;
-    if (!holder_suspect(holder)) {
+    std::vector<net::Message> msgs;
+    std::vector<bool> asked;  // asked[i]: pinned[i]'s holder gets a kFetch
+    for (const auto& [holder, ids] : pinned) {
+      asked.push_back(!holder_suspect(holder));
+      if (!asked.back()) continue;
       MemRequest req;
       req.kind = MemRequest::Kind::kFetch;
       req.owner = node_.id();
       req.fetch_min_count = store_.config().fetch_filter_min_count;
-      cluster::RpcResult res = co_await rpc(net::Message::make(
-          node_.id(), holder, kMemService, 32, std::move(req)));
-      if (res.ok()) {
-        const auto& rep = res.reply->as<MemReply>();
-        co_await node_.compute(node_.costs().per_message_cpu);
-        for (const LinePayload& payload : rep.lines) {
-          auto& l = store_.line(payload.line_id);
-          if (l.where != Where::kFaulting || l.holder != holder) {
-            // A stale primary from a false suspicion handled earlier; the
-            // authoritative copy lives elsewhere.
-            node_.stats().bump("store.stale_fetch_lines");
-            continue;
-          }
-          if (!verify_payload(payload, holder)) {
-            corrupt_ids.insert(payload.line_id);
-            continue;  // repaired from the replica below, never used
-          }
-          l.entries = payload.entries;
-          store_.make_resident(payload.line_id);
-          drop_backup(payload.line_id);
-          unreplicated_.erase(payload.line_id);
-          got.insert(payload.line_id);
-        }
-      } else {
-        co_await on_holder_failure(holder);
-      }
+      msgs.push_back(net::Message::make(node_.id(), holder, kMemService, 32,
+                                        std::move(req)));
     }
-    // Lines the holder no longer has (crash-restart wiped them, or the
-    // holder is dead) or served corrupt: promote the backup or orphan.
-    for (LineId id : ids) {
-      if (got.count(id)) continue;
-      co_await recover_lost_line(id, corrupt_ids.count(id)
-                                         ? RecoverCause::kCorrupt
-                                         : RecoverCause::kLost);
+    // A one-message batch runs as a plain call(), adding no scheduler events.
+    const std::vector<cluster::RpcResult> results = co_await xport_.pipeline(
+        std::move(msgs), rpc_op(MemRequest::Kind::kFetch));
+    for (const cluster::RpcResult& res : results) note_attempts(res);
+
+    std::size_t k = 0;  // cursor over results, in holder order
+    for (std::size_t i = 0; i < pinned.size(); ++i) {
+      const auto& [holder, ids] = pinned[i];
+      std::unordered_set<LineId> got;
+      std::unordered_set<LineId> corrupt_ids;
+      if (asked[i]) {
+        const cluster::RpcResult& res = results[k++];
+        if (res.ok()) {
+          const auto& rep = res.reply->as<MemReply>();
+          co_await node_.compute(node_.costs().per_message_cpu);
+          for (const LinePayload& payload : rep.lines) {
+            auto& l = store_.line(payload.line_id);
+            if (l.where != Where::kFaulting || l.holder != holder) {
+              // A stale primary from a false suspicion handled earlier; the
+              // authoritative copy lives elsewhere.
+              node_.stats().bump("store.stale_fetch_lines");
+              continue;
+            }
+            if (!verify_payload(payload, holder)) {
+              corrupt_ids.insert(payload.line_id);
+              continue;  // repaired from the replica below, never used
+            }
+            l.entries = payload.entries;
+            store_.make_resident(payload.line_id);
+            drop_backup(payload.line_id);
+            unreplicated_.erase(payload.line_id);
+            got.insert(payload.line_id);
+          }
+        } else {
+          co_await on_holder_failure(holder);
+        }
+      }
+      // Lines the holder no longer has (crash-restart wiped them, or the
+      // holder is dead) or served corrupt: promote the backup or orphan.
+      for (LineId id : ids) {
+        if (got.count(id)) continue;
+        co_await recover_lost_line(id, corrupt_ids.count(id)
+                                           ? RecoverCause::kCorrupt
+                                           : RecoverCause::kLost);
+      }
     }
   }
   co_return true;
-}
-
-sim::Task<> RemoteBackend::collect_fetch_pipelined(
-    const std::vector<net::NodeId>& holders) {
-  // Pin every holder's lines up front (kFaulting keeps the concurrent
-  // failure handler off them), then issue all live holders' kFetch RPCs
-  // through the transport pipeline so their round-trips and server service
-  // times overlap. Reply post-processing stays in holder order; recovery
-  // may re-home lines onto other holders, which the caller's next
-  // collect_fetch round picks up — exactly like the sequential path.
-  std::vector<std::vector<LineId>> pinned(holders.size());
-  for (std::size_t h = 0; h < holders.size(); ++h) {
-    auto& held = lines_by_holder_[holders[h]];
-    std::vector<LineId> candidates(held.begin(), held.end());
-    std::sort(candidates.begin(), candidates.end());
-    std::vector<LineId> ids;
-    for (LineId id : candidates) {
-      if (store_.line(id).where != Where::kRemote) {
-        // Parked by a concurrent migrate/reclaim; that coroutine settles it
-        // and fires its trigger, and the caller re-scans.
-        node_.stats().bump("store.collect_skipped_inflight");
-        continue;
-      }
-      store_.line(id).where = Where::kFaulting;
-      ids.push_back(id);
-    }
-    for (LineId id : ids) hold_erase(holders[h], id);
-    pinned[h] = std::move(ids);
-  }
-
-  std::vector<net::Message> msgs;
-  std::vector<std::size_t> msg_holder;  // msgs[k] targets holders[msg_holder[k]]
-  for (std::size_t h = 0; h < holders.size(); ++h) {
-    if (pinned[h].empty() || holder_suspect(holders[h])) continue;
-    MemRequest req;
-    req.kind = MemRequest::Kind::kFetch;
-    req.owner = node_.id();
-    req.fetch_min_count = store_.config().fetch_filter_min_count;
-    msgs.push_back(net::Message::make(node_.id(), holders[h], kMemService, 32,
-                                      std::move(req)));
-    msg_holder.push_back(h);
-  }
-  std::vector<cluster::RpcResult> results = co_await xport_.pipeline(
-      std::move(msgs), rpc_op(MemRequest::Kind::kFetch));
-  for (std::size_t k = 0; k < results.size(); ++k) {
-    cluster::RpcResult& res = results[k];
-    failover().rpc_retries += res.attempts - 1;
-    failover().deadline_misses += res.ok() ? res.attempts - 1 : res.attempts;
-  }
-
-  std::size_t k = 0;  // cursor over results, in holder order
-  for (std::size_t h = 0; h < holders.size(); ++h) {
-    const net::NodeId holder = holders[h];
-    const std::vector<LineId>& ids = pinned[h];
-    if (ids.empty()) continue;
-    std::unordered_set<LineId> got;
-    std::unordered_set<LineId> corrupt_ids;
-    if (k < msg_holder.size() && msg_holder[k] == h) {
-      cluster::RpcResult& res = results[k++];
-      if (res.ok()) {
-        const auto& rep = res.reply->as<MemReply>();
-        co_await node_.compute(node_.costs().per_message_cpu);
-        for (const LinePayload& payload : rep.lines) {
-          auto& l = store_.line(payload.line_id);
-          if (l.where != Where::kFaulting || l.holder != holder) {
-            node_.stats().bump("store.stale_fetch_lines");
-            continue;
-          }
-          if (!verify_payload(payload, holder)) {
-            corrupt_ids.insert(payload.line_id);
-            continue;
-          }
-          l.entries = payload.entries;
-          store_.make_resident(payload.line_id);
-          drop_backup(payload.line_id);
-          unreplicated_.erase(payload.line_id);
-          got.insert(payload.line_id);
-        }
-      } else {
-        co_await on_holder_failure(holder);
-      }
-    }
-    for (LineId id : ids) {
-      if (got.count(id)) continue;
-      co_await recover_lost_line(id, corrupt_ids.count(id)
-                                         ? RecoverCause::kCorrupt
-                                         : RecoverCause::kLost);
-    }
-  }
 }
 
 sim::Task<> RemoteBackend::collect_finish() {
@@ -722,11 +684,7 @@ sim::Task<> RemoteBackend::collect_finish() {
     if (ids.empty()) continue;
     ids.clear();
     if (suspected_.count(backup)) continue;
-    MemRequest req;
-    req.kind = MemRequest::Kind::kReplicaDrop;
-    req.owner = node_.id();
-    req.line_id = -1;  // all of this owner
-    node_.send_to(backup, kMemService, 16, std::move(req));
+    send_replica_drop(backup, /*id=*/-1);  // all of this owner
   }
   for (std::size_t i = 0; i < store_.num_lines(); ++i) {
     store_.line(static_cast<LineId>(i)).backup = -1;
@@ -781,17 +739,7 @@ sim::Task<> RemoteBackend::migrate_away(net::NodeId holder) {
     node_.stats().bump("store.migration_no_destination");
     for (LineId id : marked) store_.line(id).where = Where::kRemote;
     for (LineId id : marked) {
-      auto& l = store_.line(id);
-      const auto pend = pending_updates_.find(id);
-      if (pend != pending_updates_.end()) {
-        for (const mining::Itemset& s : pend->second) {
-          --*updates_sent_;  // queue_update counts it again
-          queue_update(id, s);
-        }
-        pending_updates_.erase(pend);
-        co_await maybe_flush_batch(l.holder);
-        co_await maybe_flush_batch(l.backup);
-      }
+      co_await requeue_pending(id);
       store_.fire_migration_trigger(id);
     }
     co_return;
@@ -857,19 +805,7 @@ sim::Task<> RemoteBackend::migrate_away(net::NodeId holder) {
   //    settled (promoted or orphaned) had their pending updates flushed or
   //    dropped there.
   for (LineId id : marked) {
-    auto& l = store_.line(id);
-    if (l.where == Where::kRemote) {
-      const auto pend = pending_updates_.find(id);
-      if (pend != pending_updates_.end()) {
-        for (const mining::Itemset& s : pend->second) {
-          --*updates_sent_;  // queue_update will count it again
-          queue_update(id, s);
-        }
-        pending_updates_.erase(pend);
-        co_await maybe_flush_batch(l.holder);
-        co_await maybe_flush_batch(l.backup);
-      }
-    }
+    if (store_.line(id).where == Where::kRemote) co_await requeue_pending(id);
     store_.fire_migration_trigger(id);
   }
 }
@@ -880,15 +816,9 @@ sim::Task<> RemoteBackend::migrate_away(net::NodeId holder) {
 
 sim::Task<std::int64_t> RemoteBackend::reclaim(std::int64_t target_bytes) {
   if (target_bytes <= 0) co_return 0;
-  // Holders in sorted order for determinism; snapshot the keys — the
-  // recall mutates lines_by_holder_ underneath us.
-  std::vector<net::NodeId> holders;
-  for (const auto& [holder, ids] : lines_by_holder_) {
-    if (!ids.empty()) holders.push_back(holder);
-  }
-  std::sort(holders.begin(), holders.end());
+  // A snapshot: the recall mutates lines_by_holder_ underneath us.
   std::int64_t freed = 0;
-  for (net::NodeId holder : holders) {
+  for (net::NodeId holder : sorted_holders()) {
     if (freed >= target_bytes) break;
     freed += co_await reclaim_from(holder, target_bytes - freed);
   }
@@ -931,87 +861,34 @@ sim::Task<std::int64_t> RemoteBackend::reclaim_from(net::NodeId holder,
   for (LineId id : marked) {
     auto& l = store_.line(id);
     RMS_CHECK(l.where == Where::kMigrating);
-    bool lost = false;
-    bool corrupt = false;
-    if (holder_suspect(holder)) {
-      lost = true;
-    } else {
-      MemRequest req;
-      req.kind = MemRequest::Kind::kSwapIn;
-      req.owner = node_.id();
-      req.line_id = id;
-      cluster::RpcResult res = co_await rpc(net::Message::make(
-          node_.id(), holder, kMemService, 32, std::move(req)));
-      if (!res.ok()) {
-        // The holder went silent: re-home everything it held. Our marked
-        // lines are kMigrating, so the handler skips them and leaves them
-        // to the recovery below.
-        co_await on_holder_failure(holder);
-        lost = true;
-      } else {
-        const auto& rep = res.reply->as<MemReply>();
-        co_await node_.compute(node_.costs().per_message_cpu);
-        if (rep.ok) {
-          RMS_CHECK(rep.lines.size() == 1 && rep.lines[0].line_id == id);
-          if (!verify_payload(rep.lines[0], holder)) {
-            corrupt = true;
-            lost = true;
-          } else {
-            l.entries = rep.lines[0].entries;
-            hold_erase(holder, id);
-            drop_backup(id);
-            unreplicated_.erase(id);
-            unmirrored_shadow_.erase(id);  // home again; snapshot is garbage
-            // Ops buffered while the line was parked apply locally now:
-            // the recalled contents already include everything flushed
-            // before the fetch, and the line has no remote copy left.
-            const auto pend = pending_updates_.find(id);
-            if (pend != pending_updates_.end()) {
-              for (const mining::Itemset& s : pend->second) {
-                --*updates_sent_;  // applied locally, not sent after all
-                node_.stats().bump("store.reclaim_updates_applied");
-                for (mining::CountedItemset& e : l.entries) {
-                  if (e.items == s) {
-                    ++e.count;
-                    break;
-                  }
-                }
-              }
-              pending_updates_.erase(pend);
+    if (co_await swap_in(id)) {
+      // Ops buffered while the line was parked apply locally now: the
+      // recalled contents already include everything flushed before the
+      // fetch, and the line has no remote copy left.
+      const auto pend = pending_updates_.find(id);
+      if (pend != pending_updates_.end()) {
+        for (const mining::Itemset& s : pend->second) {
+          --*updates_sent_;  // applied locally, not sent after all
+          node_.stats().bump("store.reclaim_updates_applied");
+          for (mining::CountedItemset& e : l.entries) {
+            if (e.items == s) {
+              ++e.count;
+              break;
             }
-            // The existing spill path: entries move to the local swap disk
-            // and the line settles kDisk until a probe faults it back.
-            co_await fallback_->swap_out(id);
-            freed += l.bytes;
-            node_.stats().bump("store.reclaimed_lines");
           }
-        } else {
-          // The holder answered but crashed and restarted in between; the
-          // line's primary copy is gone.
-          node_.stats().bump("store.swap_in_lost");
-          lost = true;
         }
+        pending_updates_.erase(pend);
       }
-    }
-    if (lost) {
-      hold_erase(holder, id);
-      co_await recover_lost_line(
-          id, corrupt ? RecoverCause::kCorrupt : RecoverCause::kLost);
-      // Promoted lines settle kRemote at the surviving backup (still
-      // donated, just elsewhere); repaired or orphaned lines are resident.
-      // Requeue any ops buffered while the line was parked.
-      if (l.where == Where::kRemote) {
-        const auto pend = pending_updates_.find(id);
-        if (pend != pending_updates_.end()) {
-          for (const mining::Itemset& s : pend->second) {
-            --*updates_sent_;  // queue_update counts it again
-            queue_update(id, s);
-          }
-          pending_updates_.erase(pend);
-          co_await maybe_flush_batch(l.holder);
-          co_await maybe_flush_batch(l.backup);
-        }
-      }
+      // The existing spill path: entries move to the local swap disk and
+      // the line settles kDisk until a probe faults it back.
+      co_await fallback_->swap_out(id);
+      freed += l.bytes;
+      node_.stats().bump("store.reclaimed_lines");
+    } else if (l.where == Where::kRemote) {
+      // Promoted to the surviving backup (still donated, just elsewhere):
+      // requeue the ops buffered while the line was parked. Repaired or
+      // orphaned lines are resident.
+      co_await requeue_pending(id);
     }
     store_.fire_migration_trigger(id);
   }
@@ -1038,12 +915,7 @@ sim::Task<> RemoteBackend::on_holder_failure(net::NodeId dead) {
   {
     const auto it = update_streams_.find(dead);
     if (it != update_streams_.end() && !it->second.empty()) {
-      const auto closed = it->second.take();
-      for (const UpdateOp& op : closed.batch.updates) {
-        const auto& l = store_.line(op.line_id);
-        if (l.holder == dead && l.backup < 0) ++failover().lost_update_ops;
-      }
-      node_.stats().bump("store.update_batches_dropped");
+      drop_update_batch(dead, it->second.take().batch);
     }
   }
 
@@ -1086,19 +958,10 @@ sim::Task<> RemoteBackend::on_holder_failure(net::NodeId dead) {
 
   for (LineId id : victims) {
     co_await recover_lost_line(id);
-    auto& l = store_.line(id);
-    if (l.where == Where::kRemote) {
+    if (store_.line(id).where == Where::kRemote) {
       // Promoted: flush updates buffered while the line was dark.
       need_replica.push_back(id);
-      const auto pend = pending_updates_.find(id);
-      if (pend != pending_updates_.end()) {
-        for (const mining::Itemset& s : pend->second) {
-          --*updates_sent_;  // queue_update counts it again
-          queue_update(id, s);
-        }
-        pending_updates_.erase(pend);
-        co_await maybe_flush_batch(l.holder);
-      }
+      co_await requeue_pending(id);
     }
   }
 
@@ -1133,16 +996,8 @@ sim::Task<> RemoteBackend::re_replicate(std::vector<LineId> ids) {
   }
   for (auto& [holder, want] : by_holder) {
     if (holder_suspect(holder)) {
-      // The holder died while we worked through earlier groups. Its
-      // failure handler skipped these lines (we parked them), so settle
-      // them here: no backup survives, repair from disk or orphan.
-      for (LineId id : want) {
-        auto& l = store_.line(id);
-        if (l.where == Where::kMigrating && l.holder == holder) {
-          hold_erase(holder, id);
-          co_await recover_lost_line(id);
-        }
-      }
+      // The holder died while we worked through earlier groups.
+      co_await settle_parked(holder, want);
       continue;
     }
     // Flush queued ops first (same-pair FIFO lands them before the sync
@@ -1170,13 +1025,7 @@ sim::Task<> RemoteBackend::re_replicate(std::vector<LineId> ids) {
     if (!res.ok()) {
       // The holder went silent mid-sync: its primaries are gone too.
       co_await on_holder_failure(holder);
-      for (LineId id : want) {
-        auto& l = store_.line(id);
-        if (l.where == Where::kMigrating && l.holder == holder) {
-          hold_erase(holder, id);
-          co_await recover_lost_line(id);
-        }
-      }
+      co_await settle_parked(holder, want);
       continue;
     }
     const auto& rep = res.reply->as<MemReply>();
@@ -1201,11 +1050,7 @@ sim::Task<> RemoteBackend::re_replicate(std::vector<LineId> ids) {
       } else if (synced.count(id)) {
         // The copy landed but the line's state moved on meanwhile; tell
         // the new backup to drop the stray replica.
-        MemRequest drop;
-        drop.kind = MemRequest::Kind::kReplicaDrop;
-        drop.owner = node_.id();
-        drop.line_id = id;
-        node_.send_to(dest, kMemService, 16, std::move(drop));
+        send_replica_drop(dest, id);
       }
       // Lines the holder no longer had (res.ok with a partial `migrated`:
       // it restarted and lost them) stay under-replicated; the next
@@ -1219,18 +1064,22 @@ sim::Task<> RemoteBackend::re_replicate(std::vector<LineId> ids) {
     auto& l = store_.line(id);
     if (l.where == Where::kMigrating) {
       l.where = Where::kRemote;
-      const auto pend = pending_updates_.find(id);
-      if (pend != pending_updates_.end()) {
-        for (const mining::Itemset& s : pend->second) {
-          --*updates_sent_;  // queue_update counts it again
-          queue_update(id, s);
-        }
-        pending_updates_.erase(pend);
-        co_await maybe_flush_batch(l.holder);
-        co_await maybe_flush_batch(l.backup);
-      }
+      co_await requeue_pending(id);
     }
     store_.fire_migration_trigger(id);
+  }
+}
+
+sim::Task<> RemoteBackend::settle_parked(net::NodeId dead,
+                                         const std::vector<LineId>& ids) {
+  // The failure handler skipped these lines (they were parked), so no one
+  // else settles them: no backup survives, repair from disk or orphan.
+  for (LineId id : ids) {
+    const auto& l = store_.line(id);
+    if (l.where == Where::kMigrating && l.holder == dead) {
+      hold_erase(dead, id);
+      co_await recover_lost_line(id);
+    }
   }
 }
 

@@ -10,8 +10,9 @@
 // transport::Transport whose failure callback feeds the suspicion
 // machinery, so an unresponsive holder is detected in-band and its lines are
 // re-homed: backup copies are promoted, the rest restart empty (orphaned).
-// With `rpc_window >= 2` end-of-pass collection pipelines its fetches
-// across memory servers instead of serializing one round-trip per holder.
+// End-of-pass collection fetches holders in groups: one holder per group at
+// `rpc_window` 1, every holder in one group otherwise, so the group's fetch
+// round-trips overlap through Transport::pipeline.
 // Evictions that find no live destination degrade to an owned DiskBackend —
 // the same fallback TieredBackend uses deliberately when its remote budget
 // fills up.
@@ -77,16 +78,31 @@ class RemoteBackend : public SwapBackend {
   IntegrityStats& integrity() { return store_.integrity_mut(); }
 
   /// Last-resort repair hook: produce the line's contents from a local disk
-  /// copy (TieredBackend's integrity shadow). Returns true when the line was
-  /// made resident with verified contents; the base backend keeps no such
-  /// copy and always fails.
+  /// copy (the base's unmirrored-swap-out shadow; TieredBackend's integrity
+  /// shadow first). Returns true when the line was made resident with
+  /// verified contents.
   virtual sim::Task<bool> repair_from_disk(LineId id);
+
+  /// A checksummed local disk copy of a line parked remotely: the base's
+  /// unmirrored-swap-out shadow and TieredBackend's integrity shadow.
+  struct DiskShadow {
+    mining::HashLine entries;
+    std::uint64_t checksum = 0;
+  };
+  /// Restore `id` from its entry in `shadows` (a random swap-disk read),
+  /// consuming the entry. True when the line was made resident with
+  /// verified contents; false when there is no entry or it fails its
+  /// checksum.
+  sim::Task<bool> restore_shadow(
+      std::unordered_map<LineId, DiskShadow>& shadows, LineId id);
 
   cluster::Node& node_;
 
  private:
   /// Transport::call plus the store's FailoverStats accounting.
   sim::Task<cluster::RpcResult> rpc(net::Message msg);
+  /// Count a finished call's retries and missed deadlines in FailoverStats.
+  void note_attempts(const cluster::RpcResult& res);
   /// First-time suspicion bookkeeping (broker mark + counters). Idempotent;
   /// wired as the transport failure callback.
   void declare_dead(net::NodeId holder);
@@ -97,6 +113,9 @@ class RemoteBackend : public SwapBackend {
   void orphan_line(LineId id);
   /// Stop tracking (and drop) the backup copy of a line that came home.
   void drop_backup(LineId id);
+  /// One-way kReplicaDrop to `backup`: drop this owner's replica of `id`,
+  /// or every replica of this owner when `id` is -1. Callers check liveness.
+  void send_replica_drop(net::NodeId backup, LineId id);
   /// Why a primary copy needs recovering: lost with its holder (crash /
   /// restart wipe) or withheld because it failed checksum verification.
   enum class RecoverCause { kLost, kCorrupt };
@@ -107,6 +126,17 @@ class RemoteBackend : public SwapBackend {
   /// never used). Caller owns the line's state.
   sim::Task<> recover_lost_line(LineId id,
                                 RecoverCause cause = RecoverCause::kLost);
+  /// Fetch `id` home from its holder with one kSwapIn RPC; the caller has
+  /// pinned the line (kFaulting or kMigrating). On a verified reply the
+  /// contents are installed, the line leaves its holder's set, and its
+  /// backup and shadows are dropped: returns true. A dead holder, a lost
+  /// line or a corrupt payload goes through recover_lost_line: returns
+  /// false, with the line kRemote at a promoted backup or resident.
+  sim::Task<bool> swap_in(LineId id);
+  /// Settle lines parked at `dead` whose holder failure handler skipped
+  /// them (they were pinned): no backup survives, repair from disk or
+  /// orphan. Lines that moved on meanwhile are left alone.
+  sim::Task<> settle_parked(net::NodeId dead, const std::vector<LineId>& ids);
   /// Verify a fetched payload against its checksum. On mismatch: count it,
   /// strike (and possibly quarantine) the holder, and return false — the
   /// caller must treat the line as lost with RecoverCause::kCorrupt.
@@ -120,16 +150,18 @@ class RemoteBackend : public SwapBackend {
   void queue_update(LineId id, const mining::Itemset& itemset);
   sim::Task<> send_update_batch(net::NodeId holder);
   sim::Task<> maybe_flush_batch(net::NodeId holder);
+  /// Discard a closed update batch bound for dead `target`, counting the
+  /// ops whose sole copy was there as lost.
+  void drop_update_batch(net::NodeId target, const MemRequest& batch);
+  /// Re-issue the updates buffered while `id` was parked to its current
+  /// holder (and backup), flushing any batch that came due.
+  sim::Task<> requeue_pending(LineId id);
   /// One holder's share of reclaim(): park up to `target_bytes` of this
   /// store's lines there kMigrating, fetch them home one kSwapIn at a time
   /// (the holder releases each line immediately, so donated bytes drop as
   /// the recall progresses), and spill each through the disk fallback.
   sim::Task<std::int64_t> reclaim_from(net::NodeId holder,
                                        std::int64_t target_bytes);
-  /// collect_fetch with rpc_window >= 2: pin every holder's lines, issue
-  /// the fetch RPCs through Transport::pipeline so their round-trips
-  /// overlap, then post-process replies in holder order.
-  sim::Task<> collect_fetch_pipelined(const std::vector<net::NodeId>& holders);
   /// One broker decision (placement::MemoryBroker::choose) plus this
   /// store's accounting. -1 when no live, fresh node has room (callers
   /// degrade). With `best_effort` (replica placement) a stale-estimate miss
@@ -141,6 +173,9 @@ class RemoteBackend : public SwapBackend {
                                net::NodeId exclude = -1,
                                bool best_effort = false,
                                net::NodeId prev = -1);
+  /// Nodes holding at least one of this store's primaries, sorted (the
+  /// deterministic visiting order).
+  std::vector<net::NodeId> sorted_holders() const;
   /// lines_by_holder_ mutations paired with remote_bytes_ accounting.
   void hold_insert(net::NodeId holder, LineId id);
   void hold_erase(net::NodeId holder, LineId id);
@@ -171,11 +206,7 @@ class RemoteBackend : public SwapBackend {
   /// immutable outside update mode, so the copy stays exact until the line
   /// comes home. Consulted by repair_from_disk; never populated in update
   /// mode, where a snapshot would go stale against remotely-applied ops.
-  struct UnmirroredShadow {
-    mining::HashLine entries;
-    std::uint64_t checksum = 0;
-  };
-  std::unordered_map<LineId, UnmirroredShadow> unmirrored_shadow_;
+  std::unordered_map<LineId, DiskShadow> unmirrored_shadow_;
   /// One-way update batching, one byte-budgeted stream per target node.
   std::unordered_map<net::NodeId, transport::Stream<MemRequest>>
       update_streams_;

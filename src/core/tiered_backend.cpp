@@ -28,7 +28,7 @@ sim::Task<> TieredBackend::swap_out(LineId id) {
     co_await disk().swap_out(id);
     co_return;
   }
-  Shadow sh;
+  DiskShadow sh;
   if (shadow_enabled_) {
     // Snapshot before the base moves the contents out. Written behind only
     // if the line actually lands remotely (a degrade-to-disk already has a
@@ -53,27 +53,11 @@ sim::Task<> TieredBackend::fault_in(LineId id) {
 }
 
 sim::Task<bool> TieredBackend::repair_from_disk(LineId id) {
-  const auto it = shadow_.find(id);
-  if (it == shadow_.end()) {
+  if (shadow_.count(id) == 0) {
     // No full-coverage shadow; the base may hold an unmirrored-swap-out one.
     co_return co_await RemoteBackend::repair_from_disk(id);
   }
-  auto& l = store_.line(id);
-  co_await node_.swap_disk().read(
-      std::max<std::int64_t>(l.bytes, store_.config().message_block_bytes),
-      disk::Access::kRandom);
-  Shadow sh = std::move(it->second);
-  shadow_.erase(it);
-  if (sh.checksum != line_checksum(sh.entries)) {
-    // The shadow rotted too; the caller orphans. Defensive — nothing in
-    // the simulator corrupts local disk contents.
-    node_.stats().bump("store.shadow_corrupt_lines");
-    co_return false;
-  }
-  l.entries = std::move(sh.entries);
-  store_.make_resident(id);
-  node_.stats().bump("store.shadow_repairs");
-  co_return true;
+  co_return co_await restore_shadow(shadow_, id);
 }
 
 sim::Task<> TieredBackend::collect_finish() {

@@ -45,14 +45,9 @@ class TieredBackend final : public RemoteBackend {
   sim::Task<bool> repair_from_disk(LineId id) override;
 
  private:
-  struct Shadow {
-    mining::HashLine entries;
-    std::uint64_t checksum = 0;
-  };
-
   std::int64_t budget_;          // -1: unlimited
   const bool shadow_enabled_;    // Config::integrity_disk_shadow
-  std::unordered_map<LineId, Shadow> shadow_;
+  std::unordered_map<LineId, DiskShadow> shadow_;
   std::int64_t* budget_spills_;  // backend.tiered.budget_spills
 };
 

@@ -3,6 +3,7 @@
 // cardinality under every swap backend.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "workloads/hash_join.hpp"
@@ -15,6 +16,11 @@ struct JoinCase {
   std::int64_t memory_limit_bytes;  // -1: no limit
   core::SwapPolicy policy;
 };
+
+// Without this, gtest prints the case as raw bytes — the name pointer and
+// padding — so the listed test names changed from one discovery run to the
+// next.
+void PrintTo(const JoinCase& c, std::ostream* os) { *os << c.name; }
 
 class HashJoinExact : public ::testing::TestWithParam<JoinCase> {};
 
